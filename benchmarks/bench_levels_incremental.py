@@ -88,7 +88,7 @@ def bench_incremental(n: int, num_deltas: int) -> Dict:
         )
 
     speedup = round(t_full / t_incr, 2) if t_incr else float("inf")
-    return {
+    row = {
         "n": n,
         "deltas": num_deltas,
         "incremental_seconds": round(t_incr, 6),
@@ -96,11 +96,17 @@ def bench_incremental(n: int, num_deltas: int) -> Dict:
         "speedup_incremental": speedup,
         "protocol_messages_incremental": msgs_incr,
         "protocol_messages_full_gs": msgs_full,
-        "message_ratio": round(msgs_full / max(1, msgs_incr), 1),
+        # A ratio over zero incremental messages is undefined, not large.
+        "message_ratio": (round(msgs_full / msgs_incr, 1) if msgs_incr
+                          else None),
         "mean_dirty_nodes": round(float(np.mean(dirty_sizes)), 1),
         "fallbacks": engine.fallbacks,
         "bit_identical_to_full_gs": True,
     }
+    if not msgs_incr:
+        row["message_ratio_note"] = (
+            "undefined: the incremental engine sent no protocol messages")
+    return row
 
 
 def bench_level_kernels(n: int, batch: int, repeats: int) -> Dict:

@@ -486,7 +486,7 @@ def main(argv: List[str] | None = None) -> int:
                         default=None,
                         help="kernel for batched safety-level computation "
                              f"(default: ${LEVEL_KERNEL_ENV_VAR} or auto); "
-                             "'auto' picks swar (n<=9) or packed (n>=10) — "
+                             "'auto' picks swar (n<=13) or packed (n>=14) — "
                              "outputs are identical for every choice")
     parser.add_argument("--save", metavar="DIR", default=None,
                         help="also write each experiment's output to "

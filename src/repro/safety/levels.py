@@ -25,7 +25,8 @@ monotonically downward in at most ``n - 1`` sweeps (Property 1 corollary).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -41,10 +42,16 @@ from ..obs.instruments import record_gs_batch
 LEVEL_KERNEL_ENV_VAR = "REPRO_LEVEL_KERNEL"
 
 #: Recognized batch level-kernel names.  ``"auto"`` picks by cube shape:
-#: the 7-bit-lane SWAR kernel for ``n <= 9``, the packed-bitset tier
-#: (:mod:`repro.safety.packed`) for larger cubes; ``"sorted"`` is the
-#: generic gather+sort formulation that works for any topology.
+#: the SWAR threshold-field kernel for full cubes with ``n <= 13``, the
+#: packed-bitset tier (:mod:`repro.safety.packed`) for larger cubes;
+#: ``"sorted"`` is the generic gather+sort formulation that works for any
+#: topology.
 LEVEL_KERNELS = ("auto", "swar", "sorted", "packed")
+
+#: Largest cube whose SWAR word — ``n - 1`` threshold fields of ``1 +
+#: ceil(log2 n)`` bits plus a flag bit — fits one uint64 (61 bits at Q13,
+#: 66 at Q14).
+SWAR_MAX_DIMENSION = 13
 
 __all__ = [
     "level_from_sorted",
@@ -96,16 +103,29 @@ def _sweep(levels: np.ndarray, table: np.ndarray, faulty: np.ndarray,
     return changed
 
 
+class SwarTables(NamedTuple):
+    """Per-dimension constants of the SWAR level kernel (see
+    :meth:`LevelsWorkspace.swar_tables`)."""
+
+    dtype: np.dtype
+    ones: np.unsignedinteger
+    level_one: np.unsignedinteger
+    bias: np.unsignedinteger
+    over: np.unsignedinteger
+    axes: Tuple[Tuple[slice, ...], ...]
+
+
 class LevelsWorkspace:
     """Reusable scratch buffers for the safety-level kernels.
 
     The vectorized kernels need an identity staircase, a gather buffer of
     shape ``(batch, 2**n, n)``, and (for the batched SWAR kernel) packed
-    threshold tables.  In Monte-Carlo loops those allocations dominate
-    small-cube trials, so this class caches them keyed on the cube shape,
-    growing batch capacity on demand and handing out views.  Buffers are
-    plain mutable scratch: a workspace must not be shared between threads
-    (separate *processes* each get their own).
+    threshold constants plus three sweep buffers.  In Monte-Carlo
+    loops those allocations dominate small-cube trials, so this class
+    caches them keyed on the cube shape, growing batch capacity on demand
+    and handing out views.  Buffers are plain mutable scratch: a
+    workspace must not be shared between threads (separate *processes*
+    each get their own).
     """
 
     __slots__ = ("_staircases", "_gathers", "_swar", "_swar_scratch")
@@ -113,7 +133,7 @@ class LevelsWorkspace:
     def __init__(self) -> None:
         self._staircases: Dict[int, np.ndarray] = {}
         self._gathers: Dict[Tuple[int, int], np.ndarray] = {}
-        self._swar: Dict[int, Tuple[np.ndarray, np.ndarray, int, int]] = {}
+        self._swar: Dict[int, SwarTables] = {}
         self._swar_scratch: Dict[int, np.ndarray] = {}
 
     def staircase(self, n: int) -> np.ndarray:
@@ -135,52 +155,82 @@ class LevelsWorkspace:
         return buf[:batch]
 
     def swar_scratch(
-        self, batch: int, num_nodes: int
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Two ``(batch, num_nodes)`` uint64 scratch views (uninitialized)."""
-        buf = self._swar_scratch.get(num_nodes)
-        if buf is None or buf.shape[1] < batch:
-            buf = np.empty((2, batch, num_nodes), dtype=np.uint64)
-            self._swar_scratch[num_nodes] = buf
-        return buf[0, :batch], buf[1, :batch]
+        self, num_nodes: int, rows: int, dtype: np.dtype
+    ) -> List[np.ndarray]:
+        """Three flat scratch buffers of ``num_nodes * rows`` words.
 
-    def swar_tables(self, n: int) -> Tuple[np.ndarray, np.ndarray, int, int]:
-        """Packed-threshold tables for the SWAR batched kernel (n <= 9).
+        The SWAR kernel views their prefixes as ``(num_nodes, b)`` arrays
+        for whatever ``b <= rows`` trials are still active in a sweep.
+        """
+        size = num_nodes * rows
+        buf = self._swar_scratch.get(num_nodes)
+        if buf is None or buf.shape[1] < size or buf.dtype != dtype:
+            buf = np.empty((3, size), dtype=dtype)
+            self._swar_scratch[num_nodes] = buf
+        return list(buf)
+
+    def swar_tables(self, n: int) -> SwarTables:
+        """Packed-threshold constants for the SWAR batched kernel.
 
         Definition 1's update collapses to ``S(a) = min{t : c_t >= t+1}``
         where ``c_t`` counts neighbors with level below ``t`` (or ``n``
         when no threshold fails; ``t = 0`` can never fail).  The SWAR
-        kernel keeps every counter ``c_1 .. c_{n-1}`` in its own 7-bit
-        field of one ``uint64`` per node, so a single add per dimension
-        accumulates all thresholds at once.  Returned tables:
+        kernel keeps every counter ``c_1 .. c_{n-1}`` in its own
+        ``width``-bit field of one machine word per node, ``width = 1 +
+        ceil(log2 n)``, field ``t`` at bit ``width*(t-1)``, so a single
+        add per dimension accumulates all thresholds at once.  The
+        ``n - 1`` fields fill ``(n-1)*width`` bits: 28 at Q8 (a uint32
+        word serves up to Q8), 60 at Q13 (uint64), and 65 at Q14, which
+        is why the kernel stops at Q13.
 
-        * ``vlut[L]`` — the packed contribution of one neighbor at level
-          ``L``: bit ``7t`` set for every threshold ``t > L``;
-        * ``tlut[p]`` — maps ``popcount(O ^ (O - 1))`` of the overflow
-          word ``O`` back to the lowest failing threshold: the lowest set
-          bit ``7t + 6`` gives popcount ``7t + 7``; ``O == 0`` wraps to
-          all-ones (popcount 64), which maps to ``n`` for "no failure";
-        * ``bias`` — adds ``64 - (t+1)`` into field ``t``, so field
-          ``t`` overflows into bit ``7t + 6`` exactly when
-          ``c_t >= t+1`` (fields hold at most ``n + 63 < 128``: no
-          carry between fields);
-        * ``over`` — the mask of all overflow bits.
+        A node at level ``L`` contributes the *packed value* with bit
+        ``width*(t-1)`` set for every threshold ``t > L`` (it counts
+        towards ``c_t``), plus a flag in the word's top bit when
+        ``L < n``, so that levels ``n - 1`` and ``n`` (which count towards
+        no threshold) stay distinct and ``L = n - popcount(value)``.  The
+        flag lies above every field, so the flags' sums carry only out of
+        the word.
+
+        * ``dtype`` — the word: uint32 when fields and flag fit, else
+          uint64;
+        * ``ones`` — the value of a level-0 (faulty) node: every field's
+          low bit plus the flag;
+        * ``level_one`` — the value of a level-1 node;
+        * ``bias`` — adds ``2**(width-1) - (t+1)`` into field ``t``, so
+          the field's top bit ``width*t - 1`` is set exactly when
+          ``c_t >= t+1`` (``c_t <= n <= 2**(width-1)``, so a field holds
+          at most ``2**width - 2``: no carry between fields);
+        * ``over`` — the mask of all top (overflow) bits;
+        * ``axes`` — per cube dimension, the index that reverses that
+          axis of a ``(2,) * n + (b,)`` view: the dimension-``j``
+          neighbor of node ``a`` is ``a ^ 2**j``, axis ``n - 1 - j`` read
+          backwards.
         """
         cached = self._swar.get(n)
         if cached is None:
-            if not 1 <= n <= 9:
-                raise ValueError("SWAR kernel supports 1 <= n <= 9")
-            vlut = np.zeros(n + 1, dtype=np.uint64)
-            for level in range(n + 1):
-                vlut[level] = sum(1 << (7 * t) for t in range(level + 1, n))
-            vlut.setflags(write=False)
-            tlut = np.full(65, n, dtype=np.int8)
-            for t in range(1, n):
-                tlut[7 * t + 7] = t
-            tlut.setflags(write=False)
-            bias = sum((63 - t) << (7 * t) for t in range(1, n))
-            over = sum(1 << (7 * t + 6) for t in range(1, n))
-            cached = (vlut, tlut, bias, over)
+            if not 1 <= n <= SWAR_MAX_DIMENSION:
+                raise ValueError(
+                    f"SWAR kernel supports 1 <= n <= {SWAR_MAX_DIMENSION}")
+            width = 1 + (n - 1).bit_length()  # 1 + ceil(log2 n)
+            dtype = np.dtype(np.uint32 if (n - 1) * width < 32
+                             else np.uint64)
+            word = dtype.type
+            fields = range(1, n)
+            flag = 1 << 8 * dtype.itemsize - 1
+            cached = SwarTables(
+                dtype=dtype,
+                ones=word(flag + sum(1 << width * (t - 1) for t in fields)),
+                level_one=word(flag + sum(1 << width * (t - 1)
+                                          for t in fields if t > 1)),
+                bias=word(sum(((1 << width - 1) - (t + 1)) << width * (t - 1)
+                              for t in fields)),
+                over=word(sum(1 << width * t - 1 for t in fields)),
+                axes=tuple(
+                    tuple(slice(None, None, -1) if k == axis
+                          else slice(None) for k in range(n))
+                    for axis in range(n)
+                ),
+            )
             self._swar[n] = cached
         return cached
 
@@ -232,99 +282,107 @@ def compute_safety_levels(
     )
 
 
-#: Row-block size for the batched kernel.  The SWAR sweep touches two
-#: ``(block, 2**n)`` uint64 buffers per pass; blocking keeps them inside
-#: the cache instead of streaming a whole 10k-trial batch through memory.
+#: Row-block size of the packed and sorted batch tiers.
 _BATCH_BLOCK = 512
+
+#: Bytes of one SWAR ``(2**n, block)`` scratch array.  A neighbor add
+#: streams two of them, so a byte budget (rather than a row count) keeps
+#: the working set near a core's L2 whatever the cube size: 1024 trials
+#: at Q8 (uint32 words), 32 at Q12, 16 at Q13.
+_SWAR_BLOCK_BYTES = 1 << 20
+
+
+def _swar_block_rows(num_nodes: int, tables: SwarTables) -> int:
+    return max(1, _SWAR_BLOCK_BYTES // (tables.dtype.itemsize * num_nodes))
 
 
 def _batch_block_swar(
-    n: int, masks: np.ndarray, ws: LevelsWorkspace
-) -> Tuple[np.ndarray, np.ndarray]:
+    n: int, masks: np.ndarray, ws: LevelsWorkspace,
+    out: np.ndarray, rounds: np.ndarray,
+) -> None:
     """Definition-1 fixed point for one block of fault masks, SWAR kernel.
 
-    Works for ``n <= 9``.  Levels live in an int8 ``(B, 2**n)`` matrix.
-    One sweep packs every node's threshold counters ``c_1 .. c_{n-1}``
-    (#neighbors with level < t) into 7-bit lanes of a uint64 — the lane
-    sums are just ``n`` adds of the value table along each reversed cube
-    axis, since the dimension-``j`` neighbor of node ``a`` is ``a ^ 2**j``.
-    Adding the bias makes lane ``t`` overflow into its top bit exactly when
-    ``c_t >= t + 1``; the lowest set overflow bit *is* the new level
-    (Definition 1 collapsed to ``S(a) = min{t : c_t >= t+1}``, else ``n``).
-    No gather, no sort, ~n ops per node per sweep.
+    Works for full cubes with ``n <= 13``; writes the ``(b, 2**n)``
+    levels into ``out`` and the per-trial rounds into ``rounds``.  The
+    block is held trial-contiguous, as ``(2**n, b)`` arrays with the
+    ``b`` still-active trials innermost, so each of the ``n``
+    reversed-axis neighbor adds streams contiguous runs of at least
+    ``b`` words.  Between sweeps every node carries its *packed value*
+    (see :meth:`LevelsWorkspace.swar_tables`) instead of its level; one
+    sweep sums the bias and the ``n`` neighbor values, so field ``t`` of
+    the sum overflows into its top bit exactly when ``c_t >= t + 1``.
+    The lowest set overflow bit ``O`` *is* the new level (Definition 1
+    collapsed to ``S(a) = min{t : c_t >= t+1}``, else ``n``), and the
+    new packed value is ``(O ^ -O) & ones``: the bits strictly above that
+    overflow bit keep exactly the fields ``t > S(a)`` and the flag.  No
+    gather, no sort, no table lookup, ~n + 6 word ops per node per sweep.
+    Trials that reach their fixed point are written out and compacted
+    away.
     """
-    vlut, tlut, bias, over = ws.swar_tables(n)
+    tables = ws.swar_tables(n)
+    axes = tables.axes
     batch, num_nodes = masks.shape
-    levels = np.full((batch, num_nodes), n, dtype=np.int8)
-    levels[masks] = 0
-    rounds = np.zeros(batch, dtype=np.int64)
-    packed, summed = ws.swar_scratch(batch, num_nodes)
     # Sweep 1 collapses analytically: from the all-n start a neighbor
     # contributes to every threshold iff it is faulty, so each counter
     # c_t equals the faulty-neighbor count F and the swept level is 1
-    # where F >= 2, else n.  Counting F is an 8-bit add per dimension —
-    # a quarter of the packed sweep's traffic.
-    cnt = np.empty((batch, num_nodes), dtype=np.uint8)
-    cnt_cube = cnt.reshape((batch,) + (2,) * n)
-    mask_cube = masks.view(np.uint8).reshape(cnt_cube.shape)
-    for axis in range(1, n + 1):
-        rev = tuple(
-            slice(None, None, -1) if k == axis else slice(None)
-            for k in range(n + 1)
-        )
-        if axis == 1:
-            cnt_cube[...] = mask_cube[rev]
-        else:
-            np.add(cnt_cube, mask_cube[rev], out=cnt_cube)
-    dropped = (cnt >= 2) & ~masks
-    active = np.flatnonzero(dropped.any(axis=1))
-    if active.size:
-        new_levels = np.where(dropped[active], np.int8(1), np.int8(n))
-        new_levels[masks[active]] = 0
-        levels[active] = new_levels
-        rounds[active] = 1
+    # where F >= 2, else n.  Counting F is an 8-bit add per dimension.
+    faulty = np.ascontiguousarray(masks.T)
+    count = np.zeros((num_nodes, batch), dtype=np.uint8)
+    count_cube = count.reshape((2,) * n + (batch,))
+    mask_cube = faulty.view(np.uint8).reshape(count_cube.shape)
+    for index in axes:
+        np.add(count_cube, mask_cube[index], out=count_cube)
+    dropped = (count >= 2) & ~faulty
+    moved = dropped.any(axis=0)
+    rounds[:] = moved
+    np.multiply(masks, -n, out=out)
+    out += n
+    active = np.flatnonzero(moved)
+    b = active.size
+    if b == 0:
+        return
+    if b < batch:
+        dropped = dropped[:, active]
+        faulty = faulty[:, active]
+    value_buf, total_buf, new_buf = ws.swar_scratch(num_nodes, b,
+                                                    tables.dtype)
+    value = value_buf[:num_nodes * b].reshape(num_nodes, b)
+    np.multiply(dropped, tables.level_one, out=value)
+    value[faulty] = tables.ones
     for sweep_no in range(2, n + 2):
-        b = active.size
-        if b == 0:
-            break
-        # While every row is still active, operate on the block arrays
-        # directly instead of fancy-indexed copies of them.
-        full = b == batch
-        sub_levels = levels if full else levels[active]
-        sub_masks = masks if full else masks[active]
-        value = packed[:b]
-        np.take(vlut, sub_levels, out=value)
-        cube = value.reshape((b,) + (2,) * n)
-        total = summed[:b]
+        total = total_buf[:num_nodes * b].reshape(num_nodes, b)
+        new = new_buf[:num_nodes * b].reshape(num_nodes, b)
+        cube = value.reshape((2,) * n + (b,))
+        total_cube = total.reshape(cube.shape)
         # Seed the accumulator with the bias so it rides along the
         # neighbor adds instead of costing a separate pass.
-        total.fill(bias)
-        total_cube = total.reshape(cube.shape)
-        for axis in range(1, n + 1):
-            rev = tuple(
-                slice(None, None, -1) if k == axis else slice(None)
-                for k in range(n + 1)
-            )
-            np.add(total_cube, cube[rev], out=total_cube)
-        total &= over
-        # total ^ (total - 1) sets bits 0 .. lowest-set-bit, so its
-        # popcount maps through tlut to the level (total == 0 wraps to
-        # all-ones, popcount 64 -> n).  Reuses the value buffer.
-        np.subtract(total, np.uint64(1), out=value)
-        np.bitwise_xor(value, total, out=value)
-        new_levels = tlut[np.bitwise_count(value)]
-        new_levels[sub_masks] = 0
-        changed = (new_levels != sub_levels).any(axis=1)
-        still = np.flatnonzero(changed) if full else active[changed]
-        rounds[still] = sweep_no
-        levels[still] = new_levels[changed]
-        active = still
-    if active.size:
-        raise AssertionError(
-            "batched safety-level iteration failed to stabilize within n+1 "
-            "sweeps; this contradicts Property 1 and indicates a kernel bug"
-        )
-    return levels.astype(np.int64), rounds
+        np.add(cube[axes[0]], tables.bias, out=total_cube)
+        for index in axes[1:]:
+            np.add(total_cube, cube[index], out=total_cube)
+        total &= tables.over
+        np.negative(total, out=new)
+        new ^= total
+        new &= tables.ones
+        new[faulty] = tables.ones
+        changed = (new != value).any(axis=0)
+        if changed.all():
+            value_buf, new_buf = new_buf, value_buf
+            value = new
+        else:
+            keep = ~changed
+            out[active[keep]] = (n - np.bitwise_count(value[:, keep])).T
+            active = active[changed]
+            b = active.size
+            if b == 0:
+                return
+            value = value_buf[:num_nodes * b].reshape(num_nodes, b)
+            np.compress(changed, new, axis=1, out=value)
+            faulty = faulty[:, changed]
+        rounds[active] = sweep_no
+    raise AssertionError(
+        "batched safety-level iteration failed to stabilize within n+1 "
+        "sweeps; this contradicts Property 1 and indicates a kernel bug"
+    )
 
 
 def _batch_block_sorted(
@@ -333,8 +391,8 @@ def _batch_block_sorted(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Generic fallback fixed point: gather + row sort per sweep.
 
-    Handles any dimension (the SWAR packing runs out of uint64 lanes past
-    ``n = 9``); same contract as :func:`_batch_block_swar`.
+    Handles any topology, including cubes that are not full; same
+    contract as :func:`_batch_block_swar`.
     """
     batch = masks.shape[0]
     levels = np.full((batch, num_nodes), n, dtype=np.int64)
@@ -375,10 +433,10 @@ def resolve_level_kernel(
     Resolution order (via :func:`repro.core.dispatch.resolve_kernel_name`,
     the same helper behind ``REPRO_ROUTE_KERNEL``): an explicit ``kernel=``
     argument, else ``$REPRO_LEVEL_KERNEL``, else ``"auto"``.  ``"auto"``
-    maps to the shape-appropriate fast tier — ``"swar"`` for ``n <= 9``
-    (where its 7-bit uint64 lanes fit), ``"packed"`` above — and both fast
-    tiers require a full ``2**n``-node cube; requesting one outside its
-    envelope is an error rather than a silent substitution.
+    maps to the shape-appropriate fast tier — ``"swar"`` for ``n <= 13``
+    (where its threshold fields fit one uint64), ``"packed"`` above — and
+    both fast tiers require a full ``2**n``-node cube; requesting one
+    outside its envelope is an error rather than a silent substitution.
     """
     name = resolve_kernel_name(LEVEL_KERNEL_ENV_VAR, LEVEL_KERNELS,
                                kernel, "auto", what="level kernel")
@@ -386,10 +444,11 @@ def resolve_level_kernel(
     if name == "auto":
         if not full_cube:
             return "sorted"
-        return "swar" if n <= 9 else "packed"
-    if name == "swar" and (n > 9 or not full_cube):
+        return "swar" if n <= SWAR_MAX_DIMENSION else "packed"
+    if name == "swar" and (n > SWAR_MAX_DIMENSION or not full_cube):
         raise ValueError(
-            f"level kernel 'swar' supports full cubes with n <= 9 only "
+            f"level kernel 'swar' supports full cubes with "
+            f"n <= {SWAR_MAX_DIMENSION} only "
             f"(got n={n}, {num_nodes} nodes); use 'packed', 'sorted', or "
             f"'auto'"
         )
@@ -418,7 +477,7 @@ def compute_safety_levels_batch(
     large batches are processed in cache-sized row blocks.  The sweep
     kernel is chosen by :func:`resolve_level_kernel` (``kernel=`` argument
     > ``$REPRO_LEVEL_KERNEL`` > ``auto``): the SWAR threshold-counting
-    kernel (:func:`_batch_block_swar`) for ``n <= 9``, the packed-bitset
+    kernel (:func:`_batch_block_swar`) for ``n <= 13``, the packed-bitset
     tier (:func:`repro.safety.packed.batch_block_packed`) for larger
     cubes, with the gather+sort formulation as the generic fallback.
 
@@ -442,11 +501,15 @@ def compute_safety_levels_batch(
     table = None if chosen in ("swar", "packed") else neighbor_table(n)
     levels = np.empty((batch, num_nodes), dtype=np.int64)
     rounds = np.empty(batch, dtype=np.int64)
-    for lo in range(0, batch, _BATCH_BLOCK):
-        hi = min(lo + _BATCH_BLOCK, batch)
+    block = (_swar_block_rows(num_nodes, ws.swar_tables(n))
+             if chosen == "swar" else _BATCH_BLOCK)
+    for lo in range(0, batch, block):
+        hi = min(lo + block, batch)
         if chosen == "swar":
-            blk_levels, blk_rounds = _batch_block_swar(n, masks[lo:hi], ws)
-        elif chosen == "packed":
+            _batch_block_swar(n, masks[lo:hi], ws, levels[lo:hi],
+                              rounds[lo:hi])
+            continue
+        if chosen == "packed":
             from .packed import batch_block_packed
 
             blk_levels, blk_rounds = batch_block_packed(n, masks[lo:hi])

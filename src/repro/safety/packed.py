@@ -1,10 +1,11 @@
 """The packed-bitset safety-level kernel: bit-sliced over 64-trial words.
 
-The SWAR kernel in :mod:`repro.safety.levels` runs out of 7-bit uint64
-lanes past ``n = 9``, and the generic gather+sort fallback streams a
-``(B, 2**n, n)`` int64 tensor through memory every sweep — the cost that
-caps Monte-Carlo work on Q10+.  This module evaluates the same
-Definition-1 fixed point with a different packing: **one bit per trial**.
+The SWAR kernel in :mod:`repro.safety.levels` runs out of uint64 bits
+for its threshold fields past ``n = 13``, and the generic gather+sort
+fallback streams a ``(B, 2**n, n)`` int64 tensor through memory every
+sweep — the cost that caps Monte-Carlo work on large cubes.  This module
+evaluates the same Definition-1 fixed point with a different packing:
+**one bit per trial**.
 
 * Every per-node quantity lives in ``(Wb, 2**n)`` uint64 words, where
   word ``w``'s bit ``b`` belongs to trial ``64*w + b`` — 64 trials
@@ -29,7 +30,7 @@ the swar/sorted kernels (same iterates, same stabilization rounds):
   :func:`repro.core.native.numba_available` says so.
 
 Works for any ``1 <= n <= 26``; it is the ``"packed"`` choice of the
-``REPRO_LEVEL_KERNEL`` seam and the ``auto`` pick for ``n >= 10``.
+``REPRO_LEVEL_KERNEL`` seam and the ``auto`` pick for ``n >= 14``.
 """
 
 from __future__ import annotations

@@ -4,22 +4,29 @@ Three claims under test:
 
 * every kernel (swar, sorted, packed — numba or pure-numpy) computes the
   same Definition-1 fixed point and the same per-trial stabilization
-  rounds, bit for bit;
+  rounds, bit for bit — for swar over its whole Q1–Q13 envelope, against
+  the per-trial kernel too;
 * ``REPRO_LEVEL_KERNEL`` / ``kernel=`` resolve through the shared
   dispatch helper with routing-kernel precedence semantics and
   informative errors;
 * telemetry records the kernel actually dispatched.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core import Hypercube
+from repro.core import FaultSet, Hypercube
 from repro.core import native
 from repro.obs import instruments as obs
+from repro.safety import levels as levels_mod
+from repro.safety.gs import compute_levels_with_rounds
 from repro.safety.levels import (
     LEVEL_KERNEL_ENV_VAR,
     LEVEL_KERNELS,
+    SWAR_MAX_DIMENSION,
     compute_safety_levels_batch,
     resolve_level_kernel,
 )
@@ -103,11 +110,77 @@ class TestPackedEquivalence:
         assert rounds[0] == 0 and rounds[1] == 0
 
 
+class TestSwarProperty:
+    """The SWAR kernel over its whole envelope, Q1 to Q13."""
+
+    @pytest.mark.parametrize("n", range(1, SWAR_MAX_DIMENSION + 1))
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 3), extra=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_sorted_and_per_trial(self, n, data, rows, extra, seed):
+        """Levels and rounds equal the sorted kernel's and the per-trial
+        kernel's for fault counts anywhere in 0..2**n, with the batch
+        spilling past a row block; packed keeps a witness at Q10-Q12."""
+        num_nodes = 1 << n
+        # Sparse counts give the deep stabilizations; dense ones the
+        # all-faulty and isolated-node corners.
+        most = data.draw(st.one_of(st.integers(0, 4 * n),
+                                   st.integers(0, num_nodes)).map(
+                                       lambda f: min(f, num_nodes)),
+                         label="faults")
+        topo = Hypercube(n)
+        batch = rows + extra
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, most + 1, size=batch)
+        counts[0] = most
+        masks = np.zeros((batch, num_nodes), dtype=bool)
+        for row, count in zip(masks, counts):
+            row[rng.choice(num_nodes, size=count, replace=False)] = True
+        # Shrink the byte budget to ``rows`` trials per block, so the
+        # batch crosses at least one block boundary at every n.
+        tables = levels_mod.LevelsWorkspace().swar_tables(n)
+        with mock.patch.object(levels_mod, "_SWAR_BLOCK_BYTES",
+                               rows * tables.dtype.itemsize * num_nodes):
+            assert levels_mod._swar_block_rows(num_nodes, tables) == rows
+            got, got_rounds = compute_safety_levels_batch(
+                topo, masks, return_rounds=True, kernel="swar")
+        ref, ref_rounds = compute_safety_levels_batch(
+            topo, masks, return_rounds=True, kernel="sorted")
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got_rounds, ref_rounds)
+        for b, row in enumerate(masks):
+            faults = FaultSet(nodes=np.flatnonzero(row).tolist())
+            lv, rd = compute_levels_with_rounds(topo, faults)
+            assert np.array_equal(got[b], lv), b
+            assert got_rounds[b] == rd, b
+        if 10 <= n <= 12:
+            packed, packed_rounds = compute_safety_levels_batch(
+                topo, masks, return_rounds=True, kernel="packed")
+            assert np.array_equal(packed, got)
+            assert np.array_equal(packed_rounds, got_rounds)
+
+    def test_default_block_boundary_q12(self):
+        """One batch just past the real byte-sized block at Q12."""
+        n = 12
+        topo = Hypercube(n)
+        tables = levels_mod.LevelsWorkspace().swar_tables(n)
+        batch = levels_mod._swar_block_rows(1 << n, tables) + 1
+        masks = _random_masks(n, batch, seed=12, p=0.01)
+        got, got_rounds = compute_safety_levels_batch(
+            topo, masks, return_rounds=True, kernel="swar")
+        ref, ref_rounds = compute_safety_levels_batch(
+            topo, masks, return_rounds=True, kernel="packed")
+        assert np.array_equal(got, ref)
+        assert np.array_equal(got_rounds, ref_rounds)
+
+
 class TestDispatch:
     def test_resolver_precedence(self, monkeypatch):
         monkeypatch.delenv(LEVEL_KERNEL_ENV_VAR, raising=False)
         assert resolve_level_kernel(5, 32) == "swar"
-        assert resolve_level_kernel(10, 1024) == "packed"
+        for n in (10, 13):
+            assert resolve_level_kernel(n, 1 << n) == "swar"
+        assert resolve_level_kernel(14, 1 << 14) == "packed"
         assert resolve_level_kernel(5, 32, "sorted") == "sorted"
         monkeypatch.setenv(LEVEL_KERNEL_ENV_VAR, "sorted")
         assert resolve_level_kernel(5, 32) == "sorted"
@@ -127,8 +200,9 @@ class TestDispatch:
 
     def test_swar_rejected_outside_envelope(self, monkeypatch):
         monkeypatch.delenv(LEVEL_KERNEL_ENV_VAR, raising=False)
+        assert resolve_level_kernel(13, 1 << 13, "swar") == "swar"
         with pytest.raises(ValueError, match="swar"):
-            resolve_level_kernel(10, 1024, "swar")
+            resolve_level_kernel(14, 1 << 14, "swar")
         with pytest.raises(ValueError, match="swar"):
             resolve_level_kernel(5, 30, "swar")  # not a full cube
 
